@@ -2,11 +2,13 @@
 // lineage tracing through the public SmokeEngine API, with every answer
 // checked against an oracle computed here from the generated rows.
 //
-//   lineagebench <capture|trace> <seed> <seconds> <trace 0|1>
+//   lineagebench <capture|trace> <seed> <seconds> <trace 0|1> <part> <parts>
 //
-// Every run does both phases so that every metric is reported by every
-// workload; the workload decides which phase gets three quarters of the run.
-// The last stdout line is one JSON object (see README.md).
+// One process is one part of a run: run.py starts the parts one after
+// another and pools their samples. Every part does both phases, one after
+// the other, so that every metric is reported by every workload; the
+// workload decides which phase gets three quarters of the time. The last
+// stdout line is one JSON object of raw samples (see README.md).
 #include <malloc.h>
 
 #include <algorithm>
@@ -127,13 +129,6 @@ bool Op(const Status& st, const char* what) {
   return false;
 }
 
-double Quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  size_t i = static_cast<size_t>(q * static_cast<double>(v.size() - 1) + 0.5);
-  return v[std::min(i, v.size() - 1)];
-}
-
 // ---- spans (traced run only) -------------------------------------------------
 //
 // One span per call into a layer: name, start, end, parent span and request
@@ -172,8 +167,8 @@ class Span {
   int id_ = -1;
 };
 
-// Median over requests of the summed self time of spans named `name`.
-double SelfTimeMedian(const std::string& name) {
+// Per request, the summed self time of spans named `name`.
+std::vector<double> SelfTimes(const std::string& name) {
   std::vector<double> child(g_spans.size(), 0);
   for (const SpanRec& s : g_spans) {
     if (s.parent >= 0) child[static_cast<size_t>(s.parent)] += s.end_ms - s.start_ms;
@@ -186,18 +181,19 @@ double SelfTimeMedian(const std::string& name) {
   }
   std::vector<double> v;
   for (const auto& [req, ms] : per_request) v.push_back(ms);
-  return Quantile(v, 0.5);
+  return v;
 }
 
-void WriteSpans(const char* path) {
-  FILE* f = std::fopen(path, "w");
+// Appends this part's spans; times are from this process's start.
+void WriteSpans(const char* path, int part) {
+  FILE* f = std::fopen(path, "a");
   if (f == nullptr) return;
   for (size_t i = 0; i < g_spans.size(); ++i) {
     const SpanRec& s = g_spans[i];
     std::fprintf(f,
-                 "{\"id\":%zu,\"parent\":%d,\"request\":%llu,\"name\":\"%s\","
-                 "\"start_ms\":%.6f,\"end_ms\":%.6f}\n",
-                 i, s.parent, static_cast<unsigned long long>(s.request),
+                 "{\"part\":%d,\"id\":%zu,\"parent\":%d,\"request\":%llu,"
+                 "\"name\":\"%s\",\"start_ms\":%.6f,\"end_ms\":%.6f}\n",
+                 part, i, s.parent, static_cast<unsigned long long>(s.request),
                  s.name, s.start_ms, s.end_ms);
   }
   std::fclose(f);
@@ -210,6 +206,11 @@ constexpr int64_t kCaptureGroups = 10000;
 constexpr int64_t kDimKeys = 10000;
 constexpr size_t kTraceRows = 1000000;
 constexpr int64_t kTraceGroups = 1000;
+constexpr size_t kForwardRids = 8192;
+// Capture threads of the timed plans and of the trace view. One thread keeps
+// these timings apart from how many cores the shared host grants at the
+// moment; the 4-thread kernels are timed in the traced run.
+constexpr int kCaptureThreads = 1;
 
 CaptureOptions CaptureOpts(CaptureMode mode, int threads) {
   CaptureOptions o = CaptureOptions::Mode(mode);
@@ -233,9 +234,10 @@ struct Fixture {
   std::vector<std::vector<rid_t>> tz_rids;  // z -> ascending rids
   std::vector<int64_t> tv_keys;             // trace view output rid -> z
   std::vector<rid_t> backward_order;        // seeded permutation of outputs
+  size_t walk_start = 0;  // this part's first position in backward_order
 };
 
-void BuildFixture(uint64_t seed, Fixture* fx) {
+void BuildFixture(uint64_t seed, int part, int parts, Fixture* fx) {
   Check(fx->capture_engine
             .CreateTable("cz", MakeZipf(kCaptureRows, kCaptureGroups, 1.0,
                                         seed * 4 + 1))
@@ -313,8 +315,8 @@ void BuildFixture(uint64_t seed, Fixture* fx) {
   LogicalPlan tv;
   Check(b.Build(b.GroupBy(b.Scan(fx->tz, "tz"), spec), &tv).ok(),
         "build trace view");
-  Op(fx->trace_engine.ExecutePlan("tv", tv,
-                                  CaptureOpts(CaptureMode::kInject, 4)),
+  Op(fx->trace_engine.ExecutePlan(
+         "tv", tv, CaptureOpts(CaptureMode::kInject, kCaptureThreads)),
      "retain trace view");
   const Table* out = nullptr;
   if (Op(fx->trace_engine.GetResult("tv", &out), "get trace view")) {
@@ -325,6 +327,8 @@ void BuildFixture(uint64_t seed, Fixture* fx) {
     fx->backward_order.push_back(static_cast<rid_t>(o));
     std::swap(fx->backward_order[o], fx->backward_order[rng.Below(o + 1)]);
   }
+  fx->walk_start = fx->backward_order.size() * static_cast<size_t>(part) /
+                   static_cast<size_t>(parts);
 }
 
 // Output rows of a (key, cnt, sum) group-by equal the oracle's aggregates.
@@ -378,45 +382,80 @@ void CheckGroupLineage(const PlanResult& pr, const Table& in,
 // ---- capture phase -----------------------------------------------------------
 
 struct Samples {
-  std::vector<double> groupby, join, bytes, backward, forward, all_traces;
+  // capture phase: plan (a) and (b) with Smoke-I capture and without
+  std::vector<double> groupby, groupby_base, join, join_base, bytes;
+  // trace phase: forward traces through the lineage index and by lazy
+  // re-execution
+  std::vector<double> forward, forward_lazy;
+  uint64_t capture_rounds = 0;
 };
 
+// The lineage checks walk every input rid in both directions, so they run on
+// the first round and then on every kLineageCheckEvery-th; aggregates are
+// checked on every round.
+constexpr uint64_t kLineageCheckEvery = 8;
+
+// Executes `plan` through SmokeEngine and retains it as `name`; appends the
+// time to `ms`.
+bool TimedExecute(SmokeEngine& e, const char* name, const LogicalPlan& plan,
+                  CaptureMode mode, std::vector<double>* ms) {
+  Span span(mode == CaptureMode::kNone ? "core.execute_plan_nocapture"
+                                       : "core.execute_plan");
+  auto t0 = Clock::now();
+  if (!Op(e.ExecutePlan(name, plan, CaptureOpts(mode, kCaptureThreads)),
+          name)) {
+    return false;
+  }
+  ms->push_back(MsSince(t0));
+  return true;
+}
+
+// One round executes and retains (a) and (b) under Smoke-I and, as the
+// baseline, without capture; the side that runs first alternates from round
+// to round.
 void CaptureRound(Fixture* fx, bool traced, Samples* s) {
   SmokeEngine& e = fx->capture_engine;
-  const CaptureOptions opts = CaptureOpts(CaptureMode::kInject, 4);
+  const bool capture_first = s->capture_rounds % 2 == 0;
+  const bool check_lineage = s->capture_rounds++ % kLineageCheckEvery == 0;
   ++g_request;
-  {
-    Span span("core.execute_plan");
-    auto t0 = Clock::now();
-    if (!Op(e.ExecutePlan("a", fx->groupby_plan, opts), "execute (a)")) return;
-    s->groupby.push_back(MsSince(t0));
-  }
-  {
-    Span span("core.execute_plan");
-    auto t0 = Clock::now();
-    if (!Op(e.ExecutePlan("b", fx->join_plan, opts), "execute (b)")) return;
-    s->join.push_back(MsSince(t0));
+  for (int side = 0; side < 2; ++side) {
+    if ((side == 0) == capture_first) {
+      if (!TimedExecute(e, "a", fx->groupby_plan, CaptureMode::kInject,
+                        &s->groupby) ||
+          !TimedExecute(e, "b", fx->join_plan, CaptureMode::kInject,
+                        &s->join)) {
+        return;
+      }
+    } else if (!TimedExecute(e, "a0", fx->groupby_plan, CaptureMode::kNone,
+                             &s->groupby_base) ||
+               !TimedExecute(e, "b0", fx->join_plan, CaptureMode::kNone,
+                             &s->join_base)) {
+      return;
+    }
   }
   s->bytes.push_back(static_cast<double>(e.LineageMemoryStats().total_bytes));
 
-  const PlanResult* a = nullptr;
-  const PlanResult* b = nullptr;
-  if (Op(e.GetPlanResult("a", &a), "get (a)")) {
-    CheckAgg(a->output, fx->cz_agg, "groupby");
-    CheckGroupLineage(*a, *fx->cz, "cz", "groupby");
+  const PlanResult* r = nullptr;
+  if (Op(e.GetPlanResult("a", &r), "get (a)")) {
+    CheckAgg(r->output, fx->cz_agg, "groupby");
+    if (check_lineage) CheckGroupLineage(*r, *fx->cz, "cz", "groupby");
   }
-  if (Op(e.GetPlanResult("b", &b), "get (b)")) {
-    CheckAgg(b->output, fx->join_agg, "join");
+  if (Op(e.GetPlanResult("a0", &r), "get (a0)")) {
+    CheckAgg(r->output, fx->cz_agg, "groupby without capture");
   }
-  Op(e.DropResult("a"), "drop (a)");
-  Op(e.DropResult("b"), "drop (b)");
+  if (Op(e.GetPlanResult("b", &r), "get (b)")) {
+    CheckAgg(r->output, fx->join_agg, "join");
+  }
+  if (Op(e.GetPlanResult("b0", &r), "get (b0)")) {
+    CheckAgg(r->output, fx->join_agg, "join without capture");
+  }
+  for (const char* name : {"a", "b", "a0", "b0"}) Op(e.DropResult(name), name);
 
   if (!traced) return;
   // Per-layer calls, baseline and capture sides in alternating order.
   GroupBySpec spec;
   spec.keys = {1};
   spec.aggs = {AggSpec::Count("cnt"), AggSpec::Sum(ScalarExpr::Col(2), "sum_v")};
-  const bool capture_first = (g_request % 2) == 0;
   for (int side = 0; side < 2; ++side) {
     if ((side == 0) == capture_first) {
       Span sp("engine.groupby_capture");
@@ -433,39 +472,87 @@ void CaptureRound(Fixture* fx, bool traced, Samples* s) {
   {
     Span sp("plan.execute");
     PlanResult pr;
-    Op(ExecutePlan(fx->groupby_plan, opts, &pr), "plan execute (a)");
+    Op(ExecutePlan(fx->groupby_plan,
+                   CaptureOpts(CaptureMode::kInject, kCaptureThreads), &pr),
+       "plan execute (a)");
   }
 }
 
 // ---- trace phase -------------------------------------------------------------
 
+// Lazy backward trace, the baseline Smoke's index is measured against:
+// re-scan the input for the rows of the output's group.
+bool LazyBackward(const Fixture& fx, int64_t key, PlanResult* out) {
+  Span span("plan.lazy_backward");
+  PlanBuilder b;
+  LogicalPlan plan;
+  return Op(b.Build(b.Select(b.Scan(fx.tz, "tz"),
+                             {Predicate::Int(1, CmpOp::kEq, key)}),
+                    &plan),
+            "build lazy backward") &&
+         Op(ExecutePlan(plan, CaptureOpts(CaptureMode::kNone, 1), out),
+            "lazy backward");
+}
+
+// Lazy forward trace: re-run the view's group-by over the traced inputs.
+bool LazyForward(const Fixture& fx, const std::vector<rid_t>& in,
+                 GroupByResult* out) {
+  Span span("engine.lazy_forward");
+  Table rows;
+  if (!Op(MaterializeRowsChecked(*fx.tz, in, &rows), "lazy forward rows")) {
+    return false;
+  }
+  GroupBySpec spec;
+  spec.keys = {1};
+  spec.aggs = {AggSpec::Count("cnt")};
+  *out = GroupByExec(rows, "tz", spec, CaptureOpts(CaptureMode::kNone, 1));
+  return true;
+}
+
 void TraceRequest(Fixture* fx, Rng* rng, bool traced, Samples* s) {
   SmokeEngine& e = fx->trace_engine;
   ++g_request;
-  // Requests alternate backward / forward. Backward seeds walk a seeded
+  // Requests alternate backward / forward, and within each class whether the
+  // index or the lazy baseline runs first. Backward seeds walk a seeded
   // permutation of the view's outputs, so every run traces the same spread
   // of group sizes (three orders of magnitude under zipf(1)).
+  const bool lazy_first = (g_request / 2) % 2 == 1;
   if (g_request % 2 == 0) {
-    const rid_t o = fx->backward_order[(g_request / 2) % fx->backward_order.size()];
+    const rid_t o = fx->backward_order[(fx->walk_start + g_request / 2) %
+                                       fx->backward_order.size()];
+    const int64_t key = fx->tv_keys[o];
+    // Backward traces are timed by their spans only: their time moved
+    // with the machine more than any ratio could gate (README.md).
     TraceResult res;
-    auto t0 = Clock::now();
-    {
-      Span span("core.trace_backward");
-      if (!Op(e.TraceBackward("tv", "tz", {o}, &res), "trace backward")) return;
+    PlanResult lazy;
+    for (int side = 0; side < 2; ++side) {
+      if ((side == 0) == lazy_first) {
+        if (!LazyBackward(*fx, key, &lazy)) return;
+      } else {
+        Span span("core.trace_backward");
+        if (!Op(e.TraceBackward("tv", "tz", {o}, &res), "trace backward")) {
+          return;
+        }
+      }
     }
-    const double ms = MsSince(t0);
-    s->backward.push_back(ms);
-    s->all_traces.push_back(ms);
     std::vector<rid_t> got = res.rids;
     std::sort(got.begin(), got.end());
-    const auto& expect = fx->tz_rids[static_cast<size_t>(fx->tv_keys[o])];
+    const auto& expect = fx->tz_rids[static_cast<size_t>(key)];
     Check(got == expect, "backward rids match the inverted index");
     bool rows_ok = res.rows.num_rows() == res.rids.size();
     for (size_t i = 0; rows_ok && i < res.rids.size(); ++i) {
       rows_ok = res.rows.column(0).ints()[i] == static_cast<int64_t>(res.rids[i]) &&
-                res.rows.column(1).ints()[i] == fx->tv_keys[o];
+                res.rows.column(1).ints()[i] == key;
     }
     Check(rows_ok, "backward rows are the traced input rows");
+    std::vector<int64_t> lazy_ids = lazy.output.column(0).ints();
+    std::sort(lazy_ids.begin(), lazy_ids.end());
+    Check(std::equal(lazy_ids.begin(), lazy_ids.end(), expect.begin(),
+                     expect.end(),
+                     [](int64_t id, rid_t r) {
+                       return id == static_cast<int64_t>(r);
+                     }),
+          "lazy backward rows match the inverted index");
     if (traced) {
       const PlanResult* pr = nullptr;
       if (!Op(e.GetPlanResult("tv", &pr), "get trace view")) return;
@@ -481,17 +568,23 @@ void TraceRequest(Fixture* fx, Rng* rng, bool traced, Samples* s) {
     }
     return;
   }
-  std::vector<rid_t> in(1024);
+  std::vector<rid_t> in(kForwardRids);
   for (rid_t& r : in) r = static_cast<rid_t>(rng->Below(fx->tz->num_rows()));
   TraceResult res;
-  auto t0 = Clock::now();
-  {
-    Span span("core.trace_forward");
-    if (!Op(e.TraceForward("tv", "tz", in, &res), "trace forward")) return;
+  GroupByResult lazy;
+  for (int side = 0; side < 2; ++side) {
+    auto t0 = Clock::now();
+    if ((side == 0) == lazy_first) {
+      if (!LazyForward(*fx, in, &lazy)) return;
+      s->forward_lazy.push_back(MsSince(t0));
+    } else {
+      {
+        Span span("core.trace_forward");
+        if (!Op(e.TraceForward("tv", "tz", in, &res), "trace forward")) return;
+      }
+      s->forward.push_back(MsSince(t0));
+    }
   }
-  const double ms = MsSince(t0);
-  s->forward.push_back(ms);
-  s->all_traces.push_back(ms);
   std::vector<int64_t> want, got;
   for (rid_t r : in) want.push_back(fx->tz->column(1).ints()[r]);
   for (rid_t o : res.rids) got.push_back(fx->tv_keys.at(o));
@@ -499,6 +592,9 @@ void TraceRequest(Fixture* fx, Rng* rng, bool traced, Samples* s) {
   want.erase(std::unique(want.begin(), want.end()), want.end());
   std::sort(got.begin(), got.end());
   Check(got == want, "forward groups match the inputs' keys");
+  std::vector<int64_t> lazy_keys = lazy.output.column(0).ints();
+  std::sort(lazy_keys.begin(), lazy_keys.end());
+  Check(lazy_keys == want, "lazy forward groups match the inputs' keys");
   if (traced) {
     const PlanResult* pr = nullptr;
     if (!Op(e.GetPlanResult("tv", &pr), "get trace view")) return;
@@ -508,27 +604,39 @@ void TraceRequest(Fixture* fx, Rng* rng, bool traced, Samples* s) {
   }
 }
 
-void PrintMetric(bool* first, const char* name, double value,
-                 const char* unit) {
-  std::printf("%s\"%s\": {\"value\": %.6f, \"unit\": \"%s\"}",
-              *first ? "" : ", ", name, value, unit);
+// Whole rounds of 64 requests, so every run attempts a multiple of them.
+void TraceRound(Fixture* fx, Rng* rng, bool traced, Samples* s) {
+  for (int i = 0; i < 64; ++i) TraceRequest(fx, rng, traced, s);
+}
+
+void PrintSamples(bool* first, const char* name,
+                  const std::vector<double>& v) {
+  std::printf("%s\"%s\": [", *first ? "" : ", ", name);
+  for (size_t i = 0; i < v.size(); ++i) {
+    std::printf("%s%.17g", i == 0 ? "" : ", ", v[i]);
+  }
+  std::printf("]");
   *first = false;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 5) {
+  if (argc != 7) {
     std::fprintf(stderr,
-                 "usage: lineagebench <capture|trace> <seed> <seconds> <0|1>\n");
+                 "usage: lineagebench <capture|trace> <seed> <seconds> <0|1> "
+                 "<part> <parts>\n");
     return 2;
   }
   const std::string workload = argv[1];
   const uint64_t seed = std::strtoull(argv[2], nullptr, 10);
   const double seconds = std::atof(argv[3]);
   const bool traced_run = std::atoi(argv[4]) != 0;
-  if ((workload != "capture" && workload != "trace") || seconds <= 0) {
-    std::fprintf(stderr, "lineagebench: bad workload or seconds\n");
+  const int part = std::atoi(argv[5]);
+  const int parts = std::atoi(argv[6]);
+  if ((workload != "capture" && workload != "trace") || seconds <= 0 ||
+      parts < 1 || part < 0 || part >= parts) {
+    std::fprintf(stderr, "lineagebench: bad workload, seconds or part\n");
     return 2;
   }
   // Same allocator policy as bench/harness.h StabilizeAllocator: keep large
@@ -539,60 +647,64 @@ int main(int argc, char** argv) {
   g_tracing = traced_run;
 
   Fixture fx;
-  BuildFixture(seed, &fx);
+  BuildFixture(seed, part, parts, &fx);
   const double setup_s = MsSince(kProcessStart) / 1000.0;
 
+  // The capture phase runs first for its share of the part, then the trace
+  // phase for the rest. Across the parts of a run the phases alternate every
+  // few seconds, so a slow spell of the shared machine reaches both alike.
   const double capture_share = workload == "capture" ? 0.75 : 0.25;
   const double capture_ms = seconds * 1000.0 * capture_share;
   const double trace_ms = seconds * 1000.0 - capture_ms;
+  Rng rng(seed * 4 + 5 + static_cast<uint64_t>(part) * 0x10000);
   Samples s;
   auto t0 = Clock::now();
-  while (MsSince(t0) < capture_ms || s.groupby.size() < 3) {
+  while (g_correct && g_failed == 0 &&
+         (MsSince(t0) < capture_ms || s.groupby.empty())) {
     CaptureRound(&fx, traced_run, &s);
-    if (!g_correct || g_failed > 0) break;
   }
-  Rng rng(seed * 4 + 5);
   t0 = Clock::now();
-  while (MsSince(t0) < trace_ms || s.all_traces.size() < 1000) {
-    // Whole rounds of 64 requests, so every run attempts a multiple of them.
-    for (int i = 0; i < 64; ++i) TraceRequest(&fx, &rng, traced_run, &s);
-    if (!g_correct || g_failed > 0) break;
+  while (g_correct && g_failed == 0 &&
+         (MsSince(t0) < trace_ms || s.forward.empty())) {
+    TraceRound(&fx, &rng, traced_run, &s);
   }
 
+  // One JSON line of raw samples; run.py pools the parts of a run.
   std::printf("{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, "
-              "\"metrics\": {",
+              "\"setup_s\": %.17g, \"samples\": {",
               g_correct ? "true" : "false",
               static_cast<unsigned long long>(g_attempted),
-              static_cast<unsigned long long>(g_failed));
+              static_cast<unsigned long long>(g_failed), setup_s);
   bool first = true;
   if (!traced_run) {
-    PrintMetric(&first, "setup_s", setup_s, "s");
-    PrintMetric(&first, "capture_groupby_ms", Quantile(s.groupby, 0.5), "ms");
-    PrintMetric(&first, "capture_join_ms", Quantile(s.join, 0.5), "ms");
-    PrintMetric(&first, "lineage_bytes", Quantile(s.bytes, 0.5), "bytes");
-    PrintMetric(&first, "trace_backward_p50_ms", Quantile(s.backward, 0.5),
-                "ms");
-    PrintMetric(&first, "trace_forward_p50_ms", Quantile(s.forward, 0.5), "ms");
-    PrintMetric(&first, "trace_p99_ms", Quantile(s.all_traces, 0.99), "ms");
+    PrintSamples(&first, "groupby_ms", s.groupby);
+    PrintSamples(&first, "groupby_base_ms", s.groupby_base);
+    PrintSamples(&first, "join_ms", s.join);
+    PrintSamples(&first, "join_base_ms", s.join_base);
+    PrintSamples(&first, "lineage_bytes", s.bytes);
+    PrintSamples(&first, "forward_ms", s.forward);
+    PrintSamples(&first, "forward_lazy_ms", s.forward_lazy);
   } else {
-    WriteSpans("lineagebench_spans.jsonl");
+    WriteSpans("lineagebench_spans.jsonl", part);
     const char* layers[][2] = {
         {"engine.groupby_nocapture_ms", "engine.groupby_nocapture"},
         {"engine.groupby_capture_ms", "engine.groupby_capture"},
         {"engine.groupby_capture_1t_ms", "engine.groupby_capture_1t"},
         {"plan.execute_ms", "plan.execute"},
         {"core.execute_plan_ms", "core.execute_plan"},
+        {"core.execute_plan_nocapture_ms", "core.execute_plan_nocapture"},
+        {"core.trace_backward_ms", "core.trace_backward"},
+        {"core.trace_forward_ms", "core.trace_forward"},
+        {"plan.lazy_backward_ms", "plan.lazy_backward"},
+        {"engine.lazy_forward_ms", "engine.lazy_forward"},
         {"query.backward_rids_ms", "query.backward_rids"},
         {"query.materialize_ms", "query.materialize"},
         {"query.forward_rids_ms", "query.forward_rids"},
     };
-    for (const auto& l : layers) {
-      PrintMetric(&first, l[0], SelfTimeMedian(l[1]), "ms");
-    }
-    PrintMetric(&first, "lineage.store.bytes",
-                static_cast<double>(
-                    fx.trace_engine.LineageMemoryStats().total_bytes),
-                "bytes");
+    for (const auto& l : layers) PrintSamples(&first, l[0], SelfTimes(l[1]));
+    PrintSamples(&first, "lineage.store.bytes",
+                 {static_cast<double>(
+                     fx.trace_engine.LineageMemoryStats().total_bytes)});
   }
   std::printf("}}\n");
   return 0;
